@@ -20,6 +20,14 @@ fi
 echo "== cargo test -q"
 cargo test -q
 
+# The bare `cargo test` above covers only the root facade crate. The
+# construction core's unit suites — similarity (pipeline ≡ serial
+# reference), build, ingest (windowed ≡ one-shot) and checkpoint
+# (restore, rejection of spliced snapshots, recovery ladder) — gate
+# here, in release so the pipeline-heavy cases stay quick.
+echo "== cargo test -q --release -p malgraph-core"
+cargo test -q --release -p malgraph-core
+
 # The fault-tolerance gate, run explicitly so a filtered or skipped
 # harness can never silently drop it: the resilient collector must
 # survive every fault rate (including total blackout) without panicking.

@@ -10,7 +10,7 @@
 //!   unavailable packages).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use malgraph_core::{similar_pairs, SimilarityConfig};
+use malgraph_core::{similar_pairs, SimilarityCache, SimilarityConfig};
 use minilang::gen::{generate, mutate, Behavior, Mutation};
 use minilang::printer::print_module;
 use oss_types::PackageId;
@@ -48,7 +48,7 @@ fn bench_embedding_dim(c: &mut Criterion) {
             ..SimilarityConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(dim), &config, |b, config| {
-            b.iter(|| similar_pairs(&entries, config));
+            b.iter(|| similar_pairs(&entries, config, &mut SimilarityCache::new()));
         });
     }
     group.finish();
@@ -70,7 +70,7 @@ fn bench_autok_schedule(c: &mut Criterion) {
             ..SimilarityConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(label), &config, |b, config| {
-            b.iter(|| similar_pairs(&entries, config));
+            b.iter(|| similar_pairs(&entries, config, &mut SimilarityCache::new()));
         });
     }
     group.finish();
@@ -94,7 +94,7 @@ fn bench_threshold_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(threshold),
             &config,
             |b, config| {
-                b.iter(|| similar_pairs(&entries, config));
+                b.iter(|| similar_pairs(&entries, config, &mut SimilarityCache::new()));
             },
         );
     }

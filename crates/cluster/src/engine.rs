@@ -53,6 +53,7 @@
 
 use crate::matrix::{sparse_dot_dense, PointMatrix, Points, QuantMatrix};
 use crate::{KMeansConfig, KMeansResult, Kernel};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default points-per-chunk of the assignment pass
 /// ([`KMeansConfig::chunk`]). Whatever the value, it must stay
@@ -130,8 +131,10 @@ fn resolve_threads(requested: usize, n_chunks: usize) -> usize {
 }
 
 /// Runs `f` over every chunk index and returns the outputs **ordered by
-/// chunk index**, regardless of which worker produced them. Workers take
-/// chunks by stride; with one thread no scope is spawned at all.
+/// chunk index**, regardless of which worker produced them. Workers
+/// claim the next chunk through an atomic cursor, so a worker that loses
+/// its core holds up one chunk, not every chunk of its stride; with one
+/// thread no scope is spawned at all.
 fn run_chunks<T, F>(n_chunks: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -141,16 +144,19 @@ where
         return (0..n_chunks).map(f).collect();
     }
     let workers = threads.min(n_chunks);
+    let next = AtomicUsize::new(0);
     crossbeam::thread::scope(|scope| {
-        let f = &f;
+        let (f, next) = (&f, &next);
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 scope.spawn(move |_| {
                     let mut out = Vec::new();
-                    let mut chunk = w;
-                    while chunk < n_chunks {
+                    loop {
+                        let chunk = next.fetch_add(1, Ordering::Relaxed);
+                        if chunk >= n_chunks {
+                            break;
+                        }
                         out.push((chunk, f(chunk)));
-                        chunk += workers;
                     }
                     out
                 })

@@ -1,12 +1,13 @@
 //! MALGRAPH construction from a collected corpus (paper §III).
 
 use crate::analysis::index::AnalysisIndex;
+use crate::ingest::EcoState;
 use crate::node::{MalNode, Relation};
 use crate::similarity::{similar_pairs, SimilarityConfig, SimilarityOutput};
 use crawler::{CollectedDataset, CollectedPackage, CollectedReport};
 use graphstore::index::{AdjacencyIndex, ComponentIndex};
 use graphstore::{NodeId, PropertyGraph};
-use oss_types::{Ecosystem, PackageId};
+use oss_types::{CrashPlan, CrashSignal, Ecosystem, PackageId};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -168,8 +169,9 @@ impl MalGraph {
         self.analysis.get_or_init(|| AnalysisIndex::new(dataset))
     }
 
-    /// A graph with no nodes and no edges — the starting point of the
-    /// incremental ingestion path ([`MalGraph::apply_delta`]).
+    /// A graph with no nodes and no edges — the starting point of every
+    /// construction path: [`build`], the incremental ingestion path
+    /// ([`MalGraph::apply_delta`]) and checkpoint restore.
     pub fn empty() -> MalGraph {
         MalGraph {
             graph: PropertyGraph::new(),
@@ -184,11 +186,112 @@ impl MalGraph {
     }
 }
 
-/// Stage 1: one node per package/source mention for each package of
-/// `packages`, appended in order; the first mention is the package's
-/// *primary* node. Shared by the one-shot builder (all packages) and
-/// the incremental path (the delta's suffix).
-pub(crate) fn emit_package_nodes(
+impl MalGraph {
+    /// The five construction stages listed on [`build`], in that order —
+    /// the one code path that emits MALGRAPH structure, shared by
+    /// [`build`], [`MalGraph::apply_delta_with`] and checkpoint restore.
+    ///
+    /// Nodes are appended for the packages of `packages` past
+    /// `nodes_by_pkg.len()`; every edge stage is cleared and re-emitted
+    /// over the whole corpus, because dependency and co-existing edges
+    /// between old nodes can appear when new packages resolve old
+    /// dependency names or report members. The similar stage serves an
+    /// ecosystem from its memo in `memos` when its entry list is
+    /// unchanged. Each stage boundary fires its crash point through
+    /// `crash`; an armed point returns mid-flight with no cleanup.
+    ///
+    /// Returns how many ecosystems reused their memoised similarity
+    /// output and how many recomputed it.
+    pub(crate) fn emit_stages(
+        &mut self,
+        packages: &[CollectedPackage],
+        reports: &[CollectedReport],
+        nodes_by_pkg: &mut Vec<Vec<NodeId>>,
+        memos: &mut [EcoState],
+        similarity: &SimilarityConfig,
+        crash: &CrashPlan,
+    ) -> Result<(u64, u64), CrashSignal> {
+        let stage = obs::span!("build/nodes");
+        let (nodes_before, packages_before) = (self.graph.node_count(), self.primary.len());
+        let suffix = &packages[nodes_by_pkg.len()..];
+        emit_package_nodes(&mut self.graph, &mut self.primary, nodes_by_pkg, suffix);
+        let nodes_added = self.graph.node_count() - nodes_before;
+        let packages_added = self.primary.len() - packages_before;
+        obs::counter_add("build.nodes", nodes_added as u64);
+        obs::counter_add("build.packages", packages_added as u64);
+        drop(stage);
+        crash.fire("build/nodes")?;
+
+        let stage = obs::span!("build/duplicated");
+        self.graph.clear_edges();
+        let duplicated = emit_duplicated_edges(&mut self.graph, nodes_by_pkg);
+        obs::counter_add("build.edges_added{relation=duplicated}", duplicated);
+        drop(stage);
+        crash.fire("build/duplicated")?;
+
+        let stage = obs::span!("build/dependency");
+        let dependency = emit_dependency_edges(&mut self.graph, &self.primary, packages);
+        obs::counter_add("build.edges_added{relation=dependency}", dependency);
+        drop(stage);
+        crash.fire("build/dependency")?;
+
+        let stage = obs::span!("build/similar");
+        let (mut reused, mut recomputed, mut similar) = (0u64, 0u64, 0u64);
+        let mut diagnostics = Vec::new();
+        for (eco, entries) in similarity_jobs(packages) {
+            let memo = &mut memos[eco_slot(eco)];
+            let output = match &memo.output {
+                Some(cached) if memo.entries_len == entries.len() => {
+                    reused += 1;
+                    Arc::clone(cached)
+                }
+                _ => {
+                    recomputed += 1;
+                    let _pipeline = obs::span!("build/similar/ecosystem={}", eco.display_name());
+                    let output = Arc::new(similar_pairs(&entries, similarity, &mut memo.cache));
+                    memo.entries_len = entries.len();
+                    memo.output = Some(Arc::clone(&output));
+                    // The memo now holds an output the graph does not
+                    // carry yet.
+                    crash.fire("similar/publish")?;
+                    output
+                }
+            };
+            // One primary lookup per entry instead of two per pair: the
+            // similar relation carries millions of pairs per ecosystem,
+            // and string-keyed `PackageId` hashing dominated this stage.
+            let nodes: Vec<NodeId> = entries.iter().map(|(id, _)| self.primary[id]).collect();
+            self.graph.add_undirected_edges(
+                output.pairs.iter().map(|&(a, b)| (nodes[a], nodes[b])),
+                Relation::Similar,
+            );
+            similar += output.pairs.len() as u64;
+            diagnostics.push((eco, output));
+        }
+        self.similarity_diagnostics = diagnostics;
+        obs::counter_add("build.edges_added{relation=similar}", similar);
+        drop(stage);
+        crash.fire("build/similar")?;
+
+        let stage = obs::span!("build/coexisting");
+        let coexisting = emit_coexisting_edges(&mut self.graph, &self.primary, reports);
+        obs::counter_add("build.edges_added{relation=coexisting}", coexisting);
+        drop(stage);
+        crash.fire("build/coexisting")?;
+        Ok((reused, recomputed))
+    }
+}
+
+/// Position of `eco` in [`Ecosystem::ALL`] — its slot in the memo table.
+pub(crate) fn eco_slot(eco: Ecosystem) -> usize {
+    Ecosystem::ALL
+        .iter()
+        .position(|e| *e == eco)
+        .expect("ecosystem listed in ALL")
+}
+
+/// Stage 1: appends one node per package/source mention of `packages`.
+fn emit_package_nodes(
     graph: &mut PropertyGraph<MalNode, Relation>,
     primary: &mut HashMap<PackageId, NodeId>,
     nodes_by_pkg: &mut Vec<Vec<NodeId>>,
@@ -216,7 +319,7 @@ pub(crate) fn emit_package_nodes(
 
 /// Stage 2: duplicated cliques over the nodes of each package. Returns
 /// the number of (undirected) edges added.
-pub(crate) fn emit_duplicated_edges(
+fn emit_duplicated_edges(
     graph: &mut PropertyGraph<MalNode, Relation>,
     nodes_by_pkg: &[Vec<NodeId>],
 ) -> u64 {
@@ -234,7 +337,7 @@ pub(crate) fn emit_duplicated_edges(
 
 /// Stage 3: dependency edges between malicious packages of the corpus
 /// (legitimate dependencies are dropped). Returns the edge count.
-pub(crate) fn emit_dependency_edges(
+fn emit_dependency_edges(
     graph: &mut PropertyGraph<MalNode, Relation>,
     primary: &HashMap<PackageId, NodeId>,
     packages: &[CollectedPackage],
@@ -297,39 +400,12 @@ pub(crate) fn similarity_jobs(
         .collect()
 }
 
-/// Stage 4 (apply): turns per-job similarity outputs into similar edges
-/// (in job order, so the graph does not depend on which pipeline
-/// finished first) and assembles the diagnostics. Returns them with the
-/// edge count.
-pub(crate) fn apply_similarity_outputs(
-    graph: &mut PropertyGraph<MalNode, Relation>,
-    primary: &HashMap<PackageId, NodeId>,
-    jobs: &[(Ecosystem, Vec<(PackageId, &str)>)],
-    outputs: Vec<Arc<SimilarityOutput>>,
-) -> (Vec<(Ecosystem, Arc<SimilarityOutput>)>, u64) {
-    let mut similarity_diagnostics = Vec::new();
-    let mut similar_edges = 0u64;
-    for ((eco, entries), out) in jobs.iter().zip(outputs) {
-        // One primary lookup per entry instead of two per pair: the
-        // similar relation carries millions of pairs per ecosystem, and
-        // string-keyed `PackageId` hashing dominated this stage.
-        let nodes: Vec<NodeId> = entries.iter().map(|(id, _)| primary[id]).collect();
-        graph.add_undirected_edges(
-            out.pairs.iter().map(|&(a, b)| (nodes[a], nodes[b])),
-            Relation::Similar,
-        );
-        similar_edges += out.pairs.len() as u64;
-        similarity_diagnostics.push((*eco, out));
-    }
-    (similarity_diagnostics, similar_edges)
-}
-
 /// Stage 5: co-existing cliques per report. Externally produced corpora
 /// can name the same package twice in one report; deduping here keeps
 /// the clique irreflexive (`add_undirected_edge` asserts a ≠ b) for
 /// both `collect` and `import_json` inputs. Cross-report repeats are
 /// deduped by the seen-pair set, replacing the `has_edge` linear scan.
-pub(crate) fn emit_coexisting_edges(
+fn emit_coexisting_edges(
     graph: &mut PropertyGraph<MalNode, Relation>,
     primary: &HashMap<PackageId, NodeId>,
     reports: &[CollectedReport],
@@ -372,85 +448,27 @@ pub(crate) fn emit_coexisting_edges(
 /// 5. **co-existing** edges: clique over the packages named by the same
 ///    security report.
 ///
-/// The stage bodies are shared with the incremental path
-/// ([`MalGraph::apply_delta`]), which re-emits every edge stage over the
-/// grown corpus in this exact order — that sharing, not a test, is what
-/// makes the two paths structurally incapable of diverging.
+/// A one-shot build is the ingestion of a single window holding the
+/// whole corpus: one pass of the shared stage body over an empty graph
+/// with fresh similarity memos. [`MalGraph::apply_delta`] and checkpoint
+/// restore run the same body, so no construction path can diverge from
+/// another.
 pub fn build(dataset: &CollectedDataset, options: &BuildOptions) -> MalGraph {
     let _build_span = obs::span!("build");
-    let mut graph: PropertyGraph<MalNode, Relation> = PropertyGraph::new();
-    let mut primary: HashMap<PackageId, NodeId> = HashMap::new();
-
-    // 1. One node per package/source mention.
-    let stage = obs::span!("build/nodes");
+    let mut graph = MalGraph::empty();
     let mut nodes_by_pkg: Vec<Vec<NodeId>> = Vec::with_capacity(dataset.packages.len());
-    emit_package_nodes(&mut graph, &mut primary, &mut nodes_by_pkg, &dataset.packages);
-    obs::counter_add("build.nodes", graph.node_count() as u64);
-    obs::counter_add("build.packages", primary.len() as u64);
-    drop(stage);
-
-    // 2. Duplicated cliques over the nodes of each package.
-    let stage = obs::span!("build/duplicated");
-    let duplicated_edges = emit_duplicated_edges(&mut graph, &nodes_by_pkg);
-    obs::counter_add("build.edges_added{relation=duplicated}", duplicated_edges);
-    drop(stage);
-
-    // 3. Dependency edges between malicious packages.
-    let stage = obs::span!("build/dependency");
-    let dependency_edges = emit_dependency_edges(&mut graph, &primary, &dataset.packages);
-    obs::counter_add("build.edges_added{relation=dependency}", dependency_edges);
-    drop(stage);
-
-    // 4. Similar edges per ecosystem. The per-ecosystem pipelines are
-    // independent, so they run concurrently; joining and applying edges
-    // in `Ecosystem::ALL` order keeps the graph deterministic regardless
-    // of which pipeline finishes first.
-    let stage = obs::span!("build/similar");
-    let jobs = similarity_jobs(&dataset.packages);
-    // Carry the span stack into the workers: the per-ecosystem spans fold
-    // under build/similar exactly as they would run serially, so the
-    // profile is identical at any worker count.
-    let ctx = obs::current_context();
-    let outputs: Vec<Arc<SimilarityOutput>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(eco, ref entries)| {
-                let similarity = &options.similarity;
-                let ctx = &ctx;
-                scope.spawn(move |_| {
-                    let _attached = ctx.attach();
-                    let _span = obs::span!("build/similar/ecosystem={}", eco.display_name());
-                    similar_pairs(entries, similarity)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| Arc::new(h.join().expect("similarity worker must not panic")))
-            .collect()
-    })
-    .expect("crossbeam scope");
-    let (similarity_diagnostics, similar_edges) =
-        apply_similarity_outputs(&mut graph, &primary, &jobs, outputs);
-    obs::counter_add("build.edges_added{relation=similar}", similar_edges);
-    drop(stage);
-
-    // 5. Co-existing cliques per report.
-    let stage = obs::span!("build/coexisting");
-    let coexisting_edges = emit_coexisting_edges(&mut graph, &primary, &dataset.reports);
-    obs::counter_add("build.edges_added{relation=coexisting}", coexisting_edges);
-    drop(stage);
-
-    MalGraph {
-        graph,
-        primary,
-        similarity_diagnostics,
-        indexes: OnceLock::new(),
-        dup_carry: Mutex::new(None),
-        adjacency: Default::default(),
-        stats: OnceLock::new(),
-        analysis: OnceLock::new(),
-    }
+    let mut memos: Vec<EcoState> = Ecosystem::ALL.iter().map(|_| EcoState::default()).collect();
+    graph
+        .emit_stages(
+            &dataset.packages,
+            &dataset.reports,
+            &mut nodes_by_pkg,
+            &mut memos,
+            &options.similarity,
+            &CrashPlan::none(),
+        )
+        .expect("an unarmed crash plan never fires");
+    graph
 }
 
 #[cfg(test)]

@@ -33,9 +33,9 @@
 //! plus each ecosystem's last [`SimilarityOutput`] and entry-list
 //! length. The graph itself is *not* stored: node and edge emission are
 //! deterministic functions of the corpus and are re-emitted through the
-//! very same `build` stage helpers in milliseconds. What makes resume
-//! fast is skipping the similarity stage — the persisted outputs are
-//! applied directly, exactly like the ingest memo's reuse path. The
+//! very same stage body `build` runs, in milliseconds. What makes resume
+//! fast is skipping the similarity pipeline — the persisted outputs seed
+//! the ingest memos, so the stage takes its reuse path. The
 //! `f32` schedule traces are stored as raw bit patterns so the
 //! round-trip is exact, not close, and the (at full scale, millions of)
 //! similar pairs are encoded as one flat `"a,b a,b …"` string per
@@ -567,21 +567,26 @@ fn snapshot_from_value(root: &jsonio::Value) -> Result<Snapshot, CheckpointError
 
 /// Rebuilds a live graph + ingest state from a validated snapshot.
 ///
-/// Node and edge stages re-run through the shared `build` helpers (the
-/// same stage order as [`build::build`]); the expensive similarity
-/// stage is *not* re-run — the persisted outputs are applied directly,
-/// after checking each job's entry-list length against the snapshot
-/// (append-only entry lists make an equal length proof of equality, the
-/// same argument the ingest memo rests on).
+/// Each ecosystem's memo is seeded with its stored output, then the
+/// shared stage body (`MalGraph::emit_stages`, the one [`build::build`]
+/// and [`MalGraph::apply_delta`] run) re-emits the structure. Every
+/// similarity job finds its memo at the job's entry-list length, so the
+/// expensive similarity stage reuses the stored outputs instead of
+/// re-running (append-only entry lists make an equal length proof of
+/// equality, the same argument the ingest memo rests on).
 ///
 /// # Errors
 ///
 /// `Malformed` when the snapshot's similarity outputs do not line up
-/// with the corpus it carries — a spliced or hand-edited snapshot; the
-/// recovery ladder treats it like any other corruption.
-pub fn restore(snapshot: Snapshot, _options: &BuildOptions) -> Result<(MalGraph, IngestState), CheckpointError> {
+/// with the corpus it carries — a job with no stored output, or a stored
+/// entry count that differs from the job's: a spliced or hand-edited
+/// snapshot, which the recovery ladder treats like any other corruption
+/// rather than silently recomputing.
+pub fn restore(
+    snapshot: Snapshot,
+    options: &BuildOptions,
+) -> Result<(MalGraph, IngestState), CheckpointError> {
     let _span = obs::span!("recover/restore");
-    let mut graph = MalGraph::empty();
     let mut state = IngestState::new();
     state.dataset = snapshot.dataset;
     state.windows = snapshot.windows_applied;
@@ -589,21 +594,13 @@ pub fn restore(snapshot: Snapshot, _options: &BuildOptions) -> Result<(MalGraph,
     // megabytes at full scale) move instead of cloning.
     let mut stored: Vec<Option<(Ecosystem, usize, SimilarityOutput)>> =
         snapshot.similarity.into_iter().map(Some).collect();
-
-    build::emit_package_nodes(
-        &mut graph.graph,
-        &mut graph.primary,
-        &mut state.nodes_by_pkg,
-        &state.dataset.packages,
-    );
-    build::emit_duplicated_edges(&mut graph.graph, &state.nodes_by_pkg);
-    build::emit_dependency_edges(&mut graph.graph, &graph.primary, &state.dataset.packages);
-    let jobs = build::similarity_jobs(&state.dataset.packages);
-    let mut outputs: Vec<Arc<SimilarityOutput>> = Vec::with_capacity(jobs.len());
-    for (eco, entries) in &jobs {
-        let (_, entries_len, stored_output) = stored
+    for (eco, entries) in build::similarity_jobs(&state.dataset.packages) {
+        let (_, entries_len, output) = stored
             .iter_mut()
-            .find(|s| s.as_ref().is_some_and(|(stored_eco, _, _)| stored_eco == eco))
+            .find(|s| {
+                s.as_ref()
+                    .is_some_and(|(stored_eco, _, _)| *stored_eco == eco)
+            })
             .and_then(Option::take)
             .ok_or_else(|| {
                 CheckpointError::Malformed(format!(
@@ -619,22 +616,23 @@ pub fn restore(snapshot: Snapshot, _options: &BuildOptions) -> Result<(MalGraph,
                 entries.len()
             )));
         }
-        let output = Arc::new(stored_output);
-        let slot = Ecosystem::ALL
-            .iter()
-            .position(|e| e == eco)
-            .expect("ecosystem listed in ALL");
-        state.eco[slot] = EcoState {
+        state.eco[build::eco_slot(eco)] = EcoState {
             cache: SimilarityCache::default(),
             entries_len,
-            output: Some(Arc::clone(&output)),
+            output: Some(Arc::new(output)),
         };
-        outputs.push(output);
     }
-    let (diagnostics, _) =
-        build::apply_similarity_outputs(&mut graph.graph, &graph.primary, &jobs, outputs);
-    graph.similarity_diagnostics = diagnostics;
-    build::emit_coexisting_edges(&mut graph.graph, &graph.primary, &state.dataset.reports);
+    let mut graph = MalGraph::empty();
+    graph
+        .emit_stages(
+            &state.dataset.packages,
+            &state.dataset.reports,
+            &mut state.nodes_by_pkg,
+            &mut state.eco,
+            &options.similarity,
+            &CrashPlan::none(),
+        )
+        .expect("an unarmed crash plan never fires");
     Ok((graph, state))
 }
 
@@ -926,6 +924,93 @@ mod tests {
         assert_eq!(state.windows_applied(), deltas.len(), "journal replay catches up");
         assert_eq!(graph_signature(&recovered), graph_signature(&graph));
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Rewrites generation `windows` with `edit` applied to its
+    /// similarity entries, resealed with a valid checksum so only the
+    /// snapshot-versus-corpus check can reject it.
+    fn splice_generation(
+        store: &CheckpointStore,
+        windows: usize,
+        edit: fn(&mut Vec<jsonio::Value>),
+    ) {
+        let path = store.generation_path(windows);
+        let body = open_body(&path, GENERATION_TAG).unwrap().unwrap();
+        let mut root = jsonio::Value::parse(&body).unwrap();
+        let jsonio::Value::Object(fields) = &mut root else {
+            panic!("snapshot root is an object")
+        };
+        let Some((_, jsonio::Value::Array(similarity))) =
+            fields.iter_mut().find(|(key, _)| key == "similarity")
+        else {
+            panic!("snapshot carries a similarity array")
+        };
+        edit(similarity);
+        seal_body(&path, GENERATION_TAG, &root.to_compact()).unwrap();
+    }
+
+    #[test]
+    fn restore_rejects_similarity_that_does_not_match_the_corpus() {
+        let _gate = obs_gate().write().unwrap_or_else(|e| e.into_inner());
+        let (deltas, options) = fixture();
+        let drop_first: fn(&mut Vec<jsonio::Value>) = |similarity| {
+            similarity.remove(0);
+        };
+        let grow_first: fn(&mut Vec<jsonio::Value>) = |similarity| {
+            let jsonio::Value::Object(fields) = &mut similarity[0] else {
+                panic!("similarity entries are objects")
+            };
+            let (_, len) = fields
+                .iter_mut()
+                .find(|(key, _)| key == "entries_len")
+                .expect("entries_len stored");
+            *len = jsonio::Value::Int(len.as_u64().unwrap() as i64 + 1);
+        };
+        for (name, edit) in [
+            ("missing-output", drop_first),
+            ("wrong-entries-len", grow_first),
+        ] {
+            let store = temp_store(name);
+            let (graph, _) = run_checkpointed_ingest(
+                &deltas,
+                &options,
+                &store,
+                &CrashPlan::none(),
+                &CheckpointOptions::default(),
+            )
+            .unwrap();
+            splice_generation(&store, deltas.len(), edit);
+            let snapshot = store.read_generation(deltas.len()).unwrap();
+            assert!(
+                matches!(
+                    restore(snapshot, &options),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{name}: restore must reject the spliced snapshot"
+            );
+            obs::reset();
+            obs::enable();
+            let (recovered, state) = recover(&store, &options).unwrap();
+            let snap = obs::snapshot();
+            obs::disable();
+            let counter = |wanted: &str| {
+                snap.counters
+                    .iter()
+                    .find(|(counter, _)| counter == wanted)
+                    .map_or(0, |(_, v)| *v)
+            };
+            assert_eq!(counter("recovery.discarded{stage=checkpoint}"), 1, "{name}");
+            assert_eq!(counter("recovery.fallbacks{stage=generation}"), 1, "{name}");
+            assert_eq!(counter("recovery.resumed{stage=checkpoint}"), 1, "{name}");
+            assert_eq!(counter("recovery.replayed{stage=journal}"), 1, "{name}");
+            assert_eq!(state.windows_applied(), deltas.len(), "{name}");
+            assert_eq!(
+                graph_signature(&recovered),
+                graph_signature(&graph),
+                "{name}"
+            );
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
     }
 
     #[test]

@@ -1,36 +1,35 @@
-//! Incremental graph construction from corpus deltas (ISSUE 8).
+//! Incremental graph construction from corpus deltas.
 //!
 //! Continuous monitoring delivers the corpus as a sequence of
 //! [`CorpusDelta`]s (see `crawler::windows`); [`MalGraph::apply_delta`]
 //! folds each one into a live graph without a from-scratch rebuild. The
 //! contract is *byte identity*: ingesting windows `0..n` one at a time
 //! yields a graph, diagnostics and analysis output bitwise-identical to
-//! one [`crate::build`] over the union corpus — the full rebuild stays
-//! in the tree as the oracle, exactly like `AnalyzeMode::Uncached` and
-//! `cluster::serial`.
+//! one [`crate::build()`] over the union corpus. The identity holds by
+//! construction: `build` is a single window over an empty graph, and
+//! both run the one stage body, `MalGraph::emit_stages`.
 //!
 //! # What is incremental, what is recomputed
 //!
 //! Node emission is append-only: a delta's packages take the next node
 //! ids, so the node table matches a one-shot build positionally. Edges
-//! are *cleared and re-emitted* over the union through the very same
-//! stage helpers `build` uses (`emit_duplicated_edges`, …, in the same
-//! order), because dependency and co-existing edges between *old* nodes
-//! can appear when a new package resolves a previously-legitimate
-//! dependency name or a previously-unknown report member. Re-emission
-//! of those stages is cheap (milliseconds at paper scale); the expense
-//! lives in the similarity stage, which is where the caching goes:
+//! are *cleared and re-emitted* over the union, because dependency and
+//! co-existing edges between *old* nodes can appear when a new package
+//! resolves a previously-legitimate dependency name or a
+//! previously-unknown report member. Re-emission of those stages is
+//! cheap (milliseconds at paper scale); the expense lives in the
+//! similarity stage, which is where the caching goes:
 //!
 //! * per-ecosystem entry lists are corpus-ordered and append-only, so
 //!   an unchanged length proves the list unchanged and the previous
 //!   window's [`SimilarityOutput`] (behind an `Arc`, so reuse is a
 //!   refcount bump) is reused outright;
 //! * otherwise the pipeline re-runs through
-//!   [`crate::similarity::similar_pairs_cached`], which parses and
-//!   embeds only packages whose *source text* was never seen (republished
-//!   byte-identical code hits the source memo) and decides the O(|c|²)
-//!   refinement once per distinct-content vector group — bitwise-identical
-//!   to the plain pipeline.
+//!   [`crate::similarity::similar_pairs`] with the ecosystem's
+//!   [`SimilarityCache`], which parses and embeds only packages whose
+//!   *source text* was never seen (republished byte-identical code hits
+//!   the source memo) and decides the O(|c|²) refinement once per
+//!   distinct-content vector group.
 //!
 //! # Cache invalidation (the PR7 `OnceLock`s)
 //!
@@ -45,18 +44,20 @@
 //! Every drop/extension increments an `ingest.*` counter, so stale-cache
 //! regressions are observable, not silent.
 
-use crate::build::{self, relation_slot, BuildOptions, MalGraph};
+use crate::build::{relation_slot, BuildOptions, MalGraph};
 use crate::node::Relation;
-use crate::similarity::{similar_pairs_cached, SimilarityCache, SimilarityOutput};
+use crate::similarity::{SimilarityCache, SimilarityOutput};
 use crawler::{CollectedDataset, CorpusDelta};
 use graphstore::NodeId;
 use oss_types::{CrashPlan, CrashSignal, Ecosystem, SimTime};
 use std::sync::Arc;
 
-/// Per-ecosystem similarity memo carried across deltas. `pub(crate)` so
-/// the checkpoint module can snapshot the memo (entry-list length + last
-/// output) and rebuild it on restore; the embedding cache itself is
-/// never persisted — a cold cache reproduces identical outputs.
+/// Per-ecosystem similarity memo, consulted and updated by the similar
+/// stage of `MalGraph::emit_stages`. An [`IngestState`] carries one per
+/// ecosystem across deltas; `build` uses throwaway ones; the checkpoint
+/// module persists the entry-list length and last output and seeds them
+/// back on restore. The embedding cache itself is never persisted — a
+/// cold cache reproduces identical outputs.
 #[derive(Debug, Default)]
 pub(crate) struct EcoState {
     /// Embedding memo + collapse state for the cached pipeline.
@@ -155,88 +156,19 @@ impl MalGraph {
         obs::counter_add("ingest.windows", 1);
         obs::counter_add("ingest.packages_added", delta.packages.len() as u64);
         obs::counter_add("ingest.reports_added", delta.reports.len() as u64);
-        let from_pkg = state.dataset.packages.len();
-        let from_node = self.graph.node_count();
         delta.apply_to(&mut state.dataset);
+        let (reused, recomputed) = self.emit_stages(
+            &state.dataset.packages,
+            &state.dataset.reports,
+            &mut state.nodes_by_pkg,
+            &mut state.eco,
+            &options.similarity,
+            crash,
+        )?;
+        obs::counter_add("ingest.similarity_reused", reused);
+        obs::counter_add("ingest.similarity_recomputed", recomputed);
 
-        // 1. Append nodes for the delta's packages: they take the next
-        // node ids, so the node table stays positionally identical to a
-        // one-shot build over the union.
-        {
-            let _stage = obs::span!("ingest/delta/nodes");
-            build::emit_package_nodes(
-                &mut self.graph,
-                &mut self.primary,
-                &mut state.nodes_by_pkg,
-                &state.dataset.packages[from_pkg..],
-            );
-            obs::counter_add(
-                "ingest.nodes_added",
-                (self.graph.node_count() - from_node) as u64,
-            );
-        }
-        crash.fire("build/nodes")?;
-
-        // 2. Re-emit every edge stage over the union, in build order —
-        // dependency and co-existing edges between old nodes can appear
-        // when new packages resolve old dependency names or old report
-        // members, so the cheap stages always recompute; only the
-        // similarity stage is served from the memo.
-        {
-            let _stage = obs::span!("ingest/delta/edges");
-            self.graph.clear_edges();
-            let duplicated = build::emit_duplicated_edges(&mut self.graph, &state.nodes_by_pkg);
-            crash.fire("build/duplicated")?;
-            let dependency =
-                build::emit_dependency_edges(&mut self.graph, &self.primary, &state.dataset.packages);
-            crash.fire("build/dependency")?;
-            let jobs = build::similarity_jobs(&state.dataset.packages);
-            let mut outputs: Vec<Arc<SimilarityOutput>> = Vec::with_capacity(jobs.len());
-            for (eco, entries) in &jobs {
-                let slot = Ecosystem::ALL
-                    .iter()
-                    .position(|e| e == eco)
-                    .expect("ecosystem listed in ALL");
-                let memo = &mut state.eco[slot];
-                let output = match &memo.output {
-                    Some(cached) if memo.entries_len == entries.len() => {
-                        obs::counter_add("ingest.similarity_reused", 1);
-                        Arc::clone(cached)
-                    }
-                    _ => {
-                        obs::counter_add("ingest.similarity_recomputed", 1);
-                        let _sim =
-                            obs::span!("ingest/delta/similar/ecosystem={}", eco.display_name());
-                        let output = Arc::new(similar_pairs_cached(
-                            entries,
-                            &options.similarity,
-                            &mut memo.cache,
-                        ));
-                        memo.entries_len = entries.len();
-                        memo.output = Some(Arc::clone(&output));
-                        // The similarity-cache publish boundary: the
-                        // memo now holds an output the graph does not
-                        // carry yet.
-                        crash.fire("similar/publish")?;
-                        output
-                    }
-                };
-                outputs.push(output);
-            }
-            let (diagnostics, similar) =
-                build::apply_similarity_outputs(&mut self.graph, &self.primary, &jobs, outputs);
-            self.similarity_diagnostics = diagnostics;
-            crash.fire("build/similar")?;
-            let coexisting =
-                build::emit_coexisting_edges(&mut self.graph, &self.primary, &state.dataset.reports);
-            crash.fire("build/coexisting")?;
-            obs::counter_add("ingest.edges_emitted{relation=duplicated}", duplicated);
-            obs::counter_add("ingest.edges_emitted{relation=dependency}", dependency);
-            obs::counter_add("ingest.edges_emitted{relation=similar}", similar);
-            obs::counter_add("ingest.edges_emitted{relation=coexisting}", coexisting);
-        }
-
-        // 3. Invalidate or extend the lazy query caches.
+        // Invalidate or extend the lazy query caches.
         {
             let _stage = obs::span!("ingest/delta/invalidate");
             let dup_slot = relation_slot(Relation::Duplicated);

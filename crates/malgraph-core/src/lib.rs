@@ -43,7 +43,7 @@ pub use checkpoint::{
 };
 pub use ingest::IngestState;
 pub use node::{MalNode, Relation};
-pub use similarity::{similar_pairs, similar_pairs_cached, SimilarityCache, SimilarityConfig};
+pub use similarity::{similar_pairs, SimilarityCache, SimilarityConfig};
 
 use graphstore::NodeId;
 

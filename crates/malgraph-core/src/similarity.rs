@@ -1,37 +1,38 @@
 //! The similar-edge pipeline: source code → AST → embedding → K-Means →
 //! cosine-refined similar pairs (paper §III-A).
 //!
+//! [`similar_pairs`] is the one entry point. It carries a
+//! [`SimilarityCache`] per ecosystem, so the same call serves a one-shot
+//! build (a fresh cache) and windowed ingestion (a cache grown window by
+//! window) with identical output.
+//!
 //! # Determinism contract
 //!
 //! [`similar_pairs`] is deterministic for a given input and config, on
-//! any machine, at any worker count:
+//! any machine, at any worker count, and whatever the cache already
+//! holds:
 //!
 //! * the K-Means engine guarantees bitwise-identical clusterings at any
 //!   thread count (fixed chunk boundaries, in-index-order merging — see
 //!   `cluster`'s crate docs);
 //! * every fan-out here keys its partial results by input index
-//!   (embedding chunks, refinement clusters) and merges them in that
+//!   (embedding misses, refinement clusters) and merges them in that
 //!   index order, never in completion order.
 //!
 //! Future parallelism must keep both properties: work may be *scheduled*
 //! freely, but results must be *combined* in an order derived from the
-//! input alone.
+//! input alone. The test module holds a short serial reference — no
+//! memo, no grouping, a plain nested pair walk — that the pipeline is
+//! asserted bitwise-identical to.
 //!
-//! # The cached pipeline
-//!
-//! [`similar_pairs_cached`] is the incremental-ingestion entry point:
-//! same inputs, same output — asserted bitwise-identical to
-//! [`similar_pairs`], which stays untouched as the oracle (the
-//! `AnalyzeMode::Uncached` pattern) — but it carries a
-//! [`SimilarityCache`] across corpus deltas:
+//! # What the cache saves
 //!
 //! * **embedding memo** — parse + embed runs once per package ever
 //!   seen; a re-run after a 10% corpus delta embeds only the new
 //!   packages, and the pipeline borrows the memoised vectors instead of
 //!   cloning them per window. Sound because package code is immutable
 //!   once collected and `embed_sparse_into` output is independent of
-//!   buffer history (the same property the chunked fan-out already
-//!   relies on).
+//!   buffer history.
 //! * **source interning** — the embedding is a pure function of the
 //!   source text, so a never-seen package whose code is byte-identical
 //!   to an already-embedded one (flood campaigns republish the same
@@ -55,10 +56,11 @@
 //!
 //! The K-Means schedule is *not* cached: clustering is a global
 //! property of the grown corpus, and a warm-start from the previous
-//! window's centroids would change the bits. It runs identically in
-//! both paths.
+//! window's centroids would change the bits.
 
-use cluster::{kmeans_points, kmeans_warm_points, KMeansConfig, KMeansResult, Kernel, Points};
+use cluster::{
+    kmeans_points, kmeans_warm_points, KMeansConfig, KMeansResult, Kernel, Points, QuantMatrix,
+};
 use embed::{EmbedBuffer, Embedder, SparseEmbedding};
 use oss_types::PackageId;
 use rand::rngs::StdRng;
@@ -66,6 +68,12 @@ use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Misses an embed worker claims at a time: small enough that a worker
+/// which loses its core holds up little, large enough that the cursor
+/// is not contended.
+const EMBED_BLOCK: usize = 16;
 
 /// Tuning knobs for the similarity pipeline.
 #[derive(Debug, Clone)]
@@ -139,7 +147,7 @@ pub struct SimilarityOutput {
     pub trace: Vec<(usize, f32)>,
 }
 
-/// Persistent state [`similar_pairs_cached`] carries across corpus
+/// Persistent state [`similar_pairs`] carries across corpus
 /// deltas:
 ///
 /// * the per-package embedding memo, stored as an interned vid (`None`
@@ -264,64 +272,13 @@ fn resolve_threads(requested: usize, items: usize) -> usize {
     threads.clamp(1, items.max(1))
 }
 
-/// Phase 1: parse + embed — embarrassingly parallel, fanned out across
-/// cores with crossbeam scoped threads. Each worker reuses one
-/// `EmbedBuffer` across its whole chunk (no per-module `dim`-sized
-/// allocation) and emits *sparse* embeddings — a feature-hashed module
-/// touches a few hundred of `dim` buckets, so the batch costs
-/// O(features) memory per module instead of O(dim).
-///
-/// Returns the embedded vectors plus `owners` (the entry index each
-/// vector came from, ascending). Unparseable entries are skipped.
-fn embed_entries(
-    entries: &[(PackageId, &str)],
-    config: &SimilarityConfig,
-) -> (Vec<SparseEmbedding>, Vec<usize>) {
-    let phase = obs::span!("similarity/embed");
-    obs::counter_add("similarity.entries", entries.len() as u64);
-    let embedder = Embedder::new(config.dim);
-    let threads = resolve_threads(config.threads, entries.len());
-    let chunk_size = entries.len().div_ceil(threads.max(1)).max(1);
-    let embedded: Vec<(usize, SparseEmbedding)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, chunk) in entries.chunks(chunk_size).enumerate() {
-            let embedder = &embedder;
-            handles.push(scope.spawn(move |_| {
-                let base = c * chunk_size;
-                let mut buf = EmbedBuffer::new();
-                let mut out = Vec::with_capacity(chunk.len());
-                for (j, (_, code)) in chunk.iter().enumerate() {
-                    if let Ok(module) = minilang::parse(code) {
-                        out.push((base + j, embedder.embed_sparse_into(&module, &mut buf)));
-                    }
-                }
-                out
-            }));
-        }
-        let mut all = Vec::with_capacity(entries.len());
-        for handle in handles {
-            all.extend(handle.join().expect("embed worker must not panic"));
-        }
-        all
-    })
-    .expect("crossbeam scope");
-    let mut vectors: Vec<SparseEmbedding> = Vec::with_capacity(embedded.len());
-    let mut owners: Vec<usize> = Vec::with_capacity(embedded.len());
-    for (owner, vector) in embedded {
-        vectors.push(vector);
-        owners.push(owner);
-    }
-    obs::counter_add("similarity.parse_failures", (entries.len() - vectors.len()) as u64);
-    drop(phase);
-    (vectors, owners)
-}
-
-/// Phase 1, memoised: parses and embeds only source text the cache has
-/// never seen. Never-seen *packages* whose code is byte-identical to a
+/// Phase 1: parses and embeds only source text the cache has never
+/// seen. Never-seen *packages* whose code is byte-identical to a
 /// memoised source (or to an earlier entry in this same batch) are
 /// served the interned verdict without being parsed; the remaining true
-/// misses are fanned out in miss-list order and merged by index, then
-/// both their embedding content and their source are interned. The
+/// misses are embedded by workers claiming blocks of them and merged by
+/// index, then both their embedding content and their source are
+/// interned in miss-list order. The
 /// caller assembles `(vectors, owners)` from the memo by reference — no
 /// per-window clone of the whole corpus.
 fn embed_misses(
@@ -365,33 +322,45 @@ fn embed_misses(
         return;
     }
     let embedder = Embedder::new(config.dim);
-    let threads = resolve_threads(config.threads, misses.len());
-    let chunk_size = misses.len().div_ceil(threads.max(1)).max(1);
-    let embedded: Vec<(usize, Option<SparseEmbedding>)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in misses.chunks(chunk_size) {
-            let embedder = &embedder;
-            handles.push(scope.spawn(move |_| {
-                let mut buf = EmbedBuffer::new();
-                let mut out = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    let vector = minilang::parse(entries[i].1)
-                        .ok()
-                        .map(|module| embedder.embed_sparse_into(&module, &mut buf));
-                    out.push((i, vector));
-                }
-                out
-            }));
-        }
-        let mut all = Vec::with_capacity(misses.len());
+    let threads = resolve_threads(config.threads, misses.len().div_ceil(EMBED_BLOCK));
+    // Workers claim blocks of misses through an atomic cursor, so a
+    // worker that loses its core stalls one block, not a fixed share of
+    // the batch; vectors land by miss position and are interned in miss
+    // order, so vids do not depend on scheduling.
+    let next = AtomicUsize::new(0);
+    let mut vectors: Vec<Option<SparseEmbedding>> = (0..misses.len()).map(|_| None).collect();
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (embedder, misses, next) = (&embedder, &misses, &next);
+                scope.spawn(move |_| {
+                    let mut buf = EmbedBuffer::new();
+                    let mut out = Vec::new();
+                    loop {
+                        let start = next.fetch_add(EMBED_BLOCK, Ordering::Relaxed);
+                        if start >= misses.len() {
+                            break;
+                        }
+                        for pos in start..(start + EMBED_BLOCK).min(misses.len()) {
+                            let vector = minilang::parse(entries[misses[pos]].1)
+                                .ok()
+                                .map(|module| embedder.embed_sparse_into(&module, &mut buf));
+                            out.push((pos, vector));
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
         for handle in handles {
-            all.extend(handle.join().expect("embed worker must not panic"));
+            for (pos, vector) in handle.join().expect("embed worker must not panic") {
+                vectors[pos] = vector;
+            }
         }
-        all
     })
     .expect("crossbeam scope");
     let mut verdicts: Vec<Option<u32>> = Vec::with_capacity(misses.len());
-    for (i, vector) in embedded {
+    for (&i, vector) in misses.iter().zip(vectors) {
         let verdict = vector.as_ref().map(|v| cache.intern_vid(v));
         cache.embedded.insert(entries[i].0.clone(), verdict);
         cache.intern_source(entries[i].1, verdict);
@@ -439,131 +408,6 @@ fn run_schedule(points: &Points, config: &SimilarityConfig) -> (KMeansResult, Ve
     (best, trace)
 }
 
-/// Distributes clusters largest-first onto the least-loaded of
-/// `threads` buckets (LPT on the pair count), so one flood cluster
-/// cannot serialize the tail.
-fn lpt_buckets(clusters: &[Vec<usize>], threads: usize) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..clusters.len()).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(clusters[c].len()));
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    let mut loads: Vec<u64> = vec![0; threads];
-    for c in order {
-        let w = (0..threads).min_by_key(|&w| loads[w]).expect("threads >= 1");
-        let size = clusters[c].len() as u64;
-        loads[w] += size * size.saturating_sub(1) / 2;
-        buckets[w].push(c);
-    }
-    buckets
-}
-
-/// Phase 3: cosine-refined pairs within each cluster. The big clusters
-/// (floods) dominate this O(|c|²) step. Workers are bounded by the
-/// configured thread count (not one thread per cluster) and clusters
-/// are distributed largest-first onto the least-loaded worker. Embedder
-/// outputs are L2-normalized, so the similarity is a single sparse dot
-/// product — and with the quantized kernel, most pairs never pay even
-/// that: the certified i8 upper bound proves them `< threshold` first
-/// (survivors are rescored exactly, so the pair set is bitwise
-/// identical — see `cluster::matrix`). The screen is only sound for
-/// `threshold > -1`: at `threshold ≤ -1` the exact path's clamp to `-1`
-/// could lift a provably-small dot back over the threshold.
-/// Determinism: each worker tags its output with the cluster index and
-/// the merge flattens in cluster-index order, so the pair list does not
-/// depend on the worker count or scheduling.
-fn refine_pairs(
-    points: &Points,
-    clusters: &[Vec<usize>],
-    owners: &[usize],
-    config: &SimilarityConfig,
-) -> Vec<(usize, usize)> {
-    let phase = obs::span!("similarity/refine");
-    let quant = (config.kernel == Kernel::TiledQuantized && config.threshold > -1.0)
-        .then(|| points.quant());
-    let threads = resolve_threads(config.threads, clusters.len());
-    let buckets = lpt_buckets(clusters, threads);
-    // Pair lists a worker produces, tagged with their cluster index,
-    // plus the worker's screen tallies.
-    type TaggedPairs = (Vec<(usize, Vec<(usize, usize)>)>, u64, u64);
-    let mut by_cluster: Vec<Vec<(usize, usize)>> = vec![Vec::new(); clusters.len()];
-    let refined: Vec<TaggedPairs> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
-                scope.spawn(move |_| {
-                    let threshold = f64::from(config.threshold);
-                    let (matrix, sparse) = (points.matrix(), points.sparse());
-                    let mut pruned = 0u64;
-                    let mut rescored = 0u64;
-                    let tagged = bucket
-                        .iter()
-                        .map(|&c| {
-                            let members = &clusters[c];
-                            let mut local = Vec::new();
-                            for a in 0..members.len() {
-                                for b in (a + 1)..members.len() {
-                                    let (ia, ib) = (members[a], members[b]);
-                                    if let Some(q) = quant {
-                                        if q.pair_upper_bound(ia, q, ib) < threshold {
-                                            pruned += 1;
-                                            continue;
-                                        }
-                                    }
-                                    rescored += 1;
-                                    // Gather-based sparse·dense dot: same
-                                    // bits as the dense dot (zero-skip
-                                    // lemma, see `cluster::matrix`), no
-                                    // branchy merge walk. The dense-scalar
-                                    // kernel keeps the pre-kernel dense
-                                    // path as the benchmark baseline.
-                                    let dot = match config.kernel {
-                                        Kernel::DenseScalar => cluster::matrix::dense_dot(
-                                            matrix.row(ia),
-                                            matrix.row(ib),
-                                        ),
-                                        _ => {
-                                            let (si, sv) = sparse.row(ia);
-                                            cluster::matrix::sparse_dot_dense(
-                                                si,
-                                                sv,
-                                                matrix.row(ib),
-                                            )
-                                        }
-                                    };
-                                    if dot.clamp(-1.0, 1.0) >= config.threshold {
-                                        local.push((owners[ia], owners[ib]));
-                                    }
-                                }
-                            }
-                            (c, local)
-                        })
-                        .collect();
-                    (tagged, pruned, rescored)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("refine worker must not panic"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-    let mut pruned_total = 0u64;
-    let mut rescored_total = 0u64;
-    for (tagged, pruned, rescored) in refined {
-        pruned_total += pruned;
-        rescored_total += rescored;
-        for (c, local) in tagged {
-            by_cluster[c] = local;
-        }
-    }
-    let pairs: Vec<(usize, usize)> = by_cluster.into_iter().flatten().collect();
-    obs::counter_add("similarity.pairs", pairs.len() as u64);
-    obs::counter_add("kernel.pruned_quantized", pruned_total);
-    obs::counter_add("kernel.rescored", rescored_total);
-    drop(phase);
-    pairs
-}
-
 /// Groups a cluster's member positions by vid, in first-appearance
 /// order; each group holds ascending member positions sharing one
 /// distinct vector content.
@@ -581,9 +425,49 @@ fn group_by_vid(members: &[usize], vid_of: &[u32]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Phase 3, collapsed: bitwise the same pair list as [`refine_pairs`],
+/// The refinement verdict for the oriented row pair `(x, y)`: `None`
+/// when the certified i8 screen (`quant`, present for the quantized
+/// kernel) proves the cosine below the threshold, otherwise whether the
+/// exact dot clears it. Embedder outputs are L2-normalized, so the
+/// cosine is a single dot. The gather-based sparse·dense dot has the
+/// same bits as the dense dot (zero-skip lemma, see `cluster::matrix`);
+/// the dense-scalar kernel keeps the dense dot as the benchmark
+/// baseline. The screen is only sound for `threshold > -1`: at
+/// `threshold ≤ -1` the exact path's clamp to `-1` could lift a
+/// provably-small dot back over the threshold, so `quant` must be `None`
+/// there.
+fn pair_verdict(
+    points: &Points,
+    quant: Option<&QuantMatrix>,
+    x: usize,
+    y: usize,
+    config: &SimilarityConfig,
+) -> Option<bool> {
+    if let Some(q) = quant {
+        if q.pair_upper_bound(x, q, y) < f64::from(config.threshold) {
+            return None;
+        }
+    }
+    let matrix = points.matrix();
+    let dot = match config.kernel {
+        Kernel::DenseScalar => cluster::matrix::dense_dot(matrix.row(x), matrix.row(y)),
+        _ => {
+            let (si, sv) = points.sparse().row(x);
+            cluster::matrix::sparse_dot_dense(si, sv, matrix.row(y))
+        }
+    };
+    Some(dot.clamp(-1.0, 1.0) >= config.threshold)
+}
+
+/// Phase 3: cosine-refined pairs within each cluster, in nested
+/// member-pair order per cluster and cluster-index order overall,
 /// paying each screen + dot once per *oriented pair of distinct vector
-/// contents* within a cluster instead of once per member pair.
+/// contents* within a cluster instead of once per member pair. The big
+/// clusters (floods) dominate this step. Workers are bounded by the
+/// configured thread count and claim clusters largest-first as they
+/// come free; each worker tags its output with the cluster index and
+/// the merge flattens in that order, so the pair list does not depend
+/// on the worker count or scheduling.
 ///
 /// Soundness: the decision for `(ia, ib)` is a pure function of the
 /// bytes of rows `ia` and `ib` (quant scales, l1/norm terms and the
@@ -610,40 +494,39 @@ fn refine_pairs_grouped(
     let quant = (config.kernel == Kernel::TiledQuantized && config.threshold > -1.0)
         .then(|| points.quant());
     let threads = resolve_threads(config.threads, clusters.len());
-    let buckets = lpt_buckets(clusters, threads);
+    // Clusters largest-first (by member count), each claimed through an
+    // atomic cursor by whichever worker is free: one flood cluster
+    // cannot serialize the tail, and a worker that loses its core holds
+    // up only the cluster it is on.
+    let mut order: Vec<usize> = (0..clusters.len()).collect();
+    order.sort_by_key(|&c| std::cmp::Reverse(clusters[c].len()));
+    let next = AtomicUsize::new(0);
     type TaggedPairs = (Vec<(usize, Vec<(usize, usize)>)>, u64, u64);
     let mut by_cluster: Vec<Vec<(usize, usize)>> = vec![Vec::new(); clusters.len()];
     let refined: Vec<TaggedPairs> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .iter()
-            .map(|bucket| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (order, next) = (&order, &next);
                 scope.spawn(move |_| {
-                    let threshold = f64::from(config.threshold);
-                    let (matrix, sparse) = (points.matrix(), points.sparse());
                     let mut pruned = 0u64;
                     let mut rescored = 0u64;
                     let mut decide = |x: usize, y: usize| -> bool {
-                        if let Some(q) = quant {
-                            if q.pair_upper_bound(x, q, y) < threshold {
+                        match pair_verdict(points, quant, x, y, config) {
+                            None => {
                                 pruned += 1;
-                                return false;
+                                false
+                            }
+                            Some(accept) => {
+                                rescored += 1;
+                                accept
                             }
                         }
-                        rescored += 1;
-                        let dot = match config.kernel {
-                            Kernel::DenseScalar => {
-                                cluster::matrix::dense_dot(matrix.row(x), matrix.row(y))
-                            }
-                            _ => {
-                                let (si, sv) = sparse.row(x);
-                                cluster::matrix::sparse_dot_dense(si, sv, matrix.row(y))
-                            }
-                        };
-                        dot.clamp(-1.0, 1.0) >= config.threshold
                     };
-                    let tagged = bucket
-                        .iter()
-                        .map(|&c| {
+                    let claimed = std::iter::from_fn(|| {
+                        order.get(next.fetch_add(1, Ordering::Relaxed)).copied()
+                    });
+                    let tagged = claimed
+                        .map(|c| {
                             let members = &clusters[c];
                             let groups = group_by_vid(members, vid_of);
                             let g = groups.len();
@@ -727,48 +610,17 @@ fn refine_pairs_grouped(
 }
 
 /// Runs the pipeline over `(package, code)` entries belonging to one
-/// ecosystem. Unparseable code is skipped (it can never join a group,
-/// exactly like a package the Packj extractor chokes on).
+/// ecosystem, carrying `cache` across calls. Unparseable code is skipped
+/// (it can never join a group, exactly like a package the Packj
+/// extractor chokes on). Output depends only on `entries` and `config`,
+/// never on what `cache` already holds (see the module docs); the cache
+/// only decides the cost: never-seen *source text* is parsed and
+/// embedded, everything else is borrowed from the memo (flood campaigns
+/// republish the same artifacts, so mature windows embed almost
+/// nothing), and the refinement pays its screen + dot once per oriented
+/// distinct-content pair per cluster instead of once per member pair.
+/// A one-shot caller passes a fresh [`SimilarityCache`].
 pub fn similar_pairs(
-    entries: &[(PackageId, &str)],
-    config: &SimilarityConfig,
-) -> SimilarityOutput {
-    let (vectors, owners) = embed_entries(entries, config);
-    if vectors.len() < 2 {
-        return SimilarityOutput {
-            pairs: Vec::new(),
-            chosen_k: 0,
-            trace: Vec::new(),
-        };
-    }
-    // One `Points` build per call: dense SoA matrix + CSR view + (lazy)
-    // quantized companion, shared by every K-Means run of the schedule
-    // and by the refinement screen.
-    let rows: Vec<(&[u32], &[f32])> = vectors
-        .iter()
-        .map(|v| (v.indices(), v.values()))
-        .collect();
-    let points = Points::from_sparse_rows(config.dim, &rows);
-    let (best, trace) = run_schedule(&points, config);
-    let clusters = best.clusters();
-    let pairs = refine_pairs(&points, &clusters, &owners, config);
-    SimilarityOutput {
-        pairs,
-        chosen_k: best.k(),
-        trace,
-    }
-}
-
-/// [`similar_pairs`] with a persistent [`SimilarityCache`]: the
-/// incremental-ingestion fast path. Output is bitwise-identical to
-/// [`similar_pairs`] over the same entries and config (see the
-/// module-level docs for why); the win is that only never-seen *source
-/// text* is parsed and embedded (everything else is borrowed from the
-/// memo — flood campaigns re-publish the same artifacts, so mature
-/// windows embed almost nothing), and the refinement pays its screen +
-/// dot once per oriented distinct-content pair per cluster instead of
-/// once per member pair.
-pub fn similar_pairs_cached(
     entries: &[(PackageId, &str)],
     config: &SimilarityConfig,
     cache: &mut SimilarityCache,
@@ -776,8 +628,8 @@ pub fn similar_pairs_cached(
     let phase = obs::span!("similarity/embed");
     obs::counter_add("similarity.entries", entries.len() as u64);
     embed_misses(entries, config, cache);
-    // Assemble `(vectors, owners, vids)` in entry order by reference —
-    // bit-for-bit the rows `embed_entries` would produce.
+    // Assemble `(vectors, owners, vids)` in entry order by reference:
+    // one row per parseable entry, `owners` mapping rows back to entries.
     let mut vectors: Vec<&SparseEmbedding> = Vec::with_capacity(entries.len());
     let mut owners: Vec<usize> = Vec::with_capacity(entries.len());
     let mut vid_of: Vec<u32> = Vec::with_capacity(entries.len());
@@ -855,12 +707,75 @@ mod tests {
         map.into_values().filter(|c| c.len() > 1).collect()
     }
 
+    /// The pipeline on a fresh cache, as a one-shot build runs it.
+    fn fresh(entries: &[(PackageId, &str)], config: &SimilarityConfig) -> SimilarityOutput {
+        similar_pairs(entries, config, &mut SimilarityCache::new())
+    }
+
+    /// Reference phase 1: parses and embeds every entry serially, no
+    /// memo. Returns the vectors and the entry index of each.
+    fn reference_embed(
+        entries: &[(PackageId, &str)],
+        config: &SimilarityConfig,
+    ) -> (Vec<SparseEmbedding>, Vec<usize>) {
+        let embedder = Embedder::new(config.dim);
+        let mut buf = EmbedBuffer::new();
+        let mut vectors = Vec::new();
+        let mut owners = Vec::new();
+        for (i, (_, code)) in entries.iter().enumerate() {
+            if let Ok(module) = minilang::parse(code) {
+                vectors.push(embedder.embed_sparse_into(&module, &mut buf));
+                owners.push(i);
+            }
+        }
+        (vectors, owners)
+    }
+
+    /// The serial reference the pipeline is held to: no memo, no
+    /// interning, no grouping, no fan-out — the same schedule, then every
+    /// cluster's member pairs walked in nested order with the same screen
+    /// and dot.
+    fn reference_pairs(
+        entries: &[(PackageId, &str)],
+        config: &SimilarityConfig,
+    ) -> SimilarityOutput {
+        let (vectors, owners) = reference_embed(entries, config);
+        if vectors.len() < 2 {
+            return SimilarityOutput {
+                pairs: Vec::new(),
+                chosen_k: 0,
+                trace: Vec::new(),
+            };
+        }
+        let rows: Vec<(&[u32], &[f32])> =
+            vectors.iter().map(|v| (v.indices(), v.values())).collect();
+        let points = Points::from_sparse_rows(config.dim, &rows);
+        let (best, trace) = run_schedule(&points, config);
+        let quant = (config.kernel == Kernel::TiledQuantized && config.threshold > -1.0)
+            .then(|| points.quant());
+        let mut pairs = Vec::new();
+        for members in best.clusters() {
+            for a in 0..members.len() {
+                for b in (a + 1)..members.len() {
+                    if pair_verdict(&points, quant, members[a], members[b], config) == Some(true) {
+                        pairs.push((owners[members[a]], owners[members[b]]));
+                    }
+                }
+            }
+        }
+        SimilarityOutput {
+            pairs,
+            chosen_k: best.k(),
+            trace,
+        }
+    }
+
     #[test]
     fn recovers_code_families() {
         let data = corpus(4, 8, 1);
         let entries: Vec<(PackageId, &str)> =
             data.iter().map(|(id, c)| (id.clone(), c.as_str())).collect();
-        let out = similar_pairs(&entries, &SimilarityConfig::default());
+        let out = fresh(&entries, &SimilarityConfig::default());
         let comps = components(entries.len(), &out.pairs);
         // Family members must never be split across groups in a way that
         // merges two behaviours: check purity by index range.
@@ -887,7 +802,7 @@ mod tests {
         let mut entries: Vec<(PackageId, &str)> =
             good.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
         entries.push((id, "this is not ( valid code"));
-        let out = similar_pairs(&entries, &SimilarityConfig::default());
+        let out = fresh(&entries, &SimilarityConfig::default());
         let broken_idx = entries.len() - 1;
         assert!(
             out.pairs.iter().all(|&(a, b)| a != broken_idx && b != broken_idx),
@@ -898,11 +813,11 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<(PackageId, &str)> = Vec::new();
-        assert!(similar_pairs(&empty, &SimilarityConfig::default()).pairs.is_empty());
+        assert!(fresh(&empty, &SimilarityConfig::default()).pairs.is_empty());
         let one = corpus(1, 1, 3);
         let entries: Vec<(PackageId, &str)> =
             one.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
-        assert!(similar_pairs(&entries, &SimilarityConfig::default()).pairs.is_empty());
+        assert!(fresh(&entries, &SimilarityConfig::default()).pairs.is_empty());
     }
 
     #[test]
@@ -910,8 +825,8 @@ mod tests {
         let data = corpus(3, 5, 4);
         let entries: Vec<(PackageId, &str)> =
             data.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
-        let a = similar_pairs(&entries, &SimilarityConfig::default());
-        let b = similar_pairs(&entries, &SimilarityConfig::default());
+        let a = fresh(&entries, &SimilarityConfig::default());
+        let b = fresh(&entries, &SimilarityConfig::default());
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.chosen_k, b.chosen_k);
     }
@@ -921,14 +836,14 @@ mod tests {
         let data = corpus(3, 6, 5);
         let entries: Vec<(PackageId, &str)> =
             data.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
-        let loose = similar_pairs(
+        let loose = fresh(
             &entries,
             &SimilarityConfig {
                 threshold: 0.5,
                 ..SimilarityConfig::default()
             },
         );
-        let strict = similar_pairs(
+        let strict = fresh(
             &entries,
             &SimilarityConfig {
                 threshold: 0.95,
@@ -974,12 +889,12 @@ mod tests {
                     ..SimilarityConfig::default()
                 };
                 let label = format!("{kernel:?}/{threads}t");
-                let plain = similar_pairs(&entries, &config);
+                let plain = reference_pairs(&entries, &config);
                 let mut cache = SimilarityCache::new();
-                let cold = similar_pairs_cached(&entries, &config, &mut cache);
+                let cold = similar_pairs(&entries, &config, &mut cache);
                 assert_outputs_identical(&plain, &cold, &format!("{label} cold"));
                 assert_eq!(cache.len(), entries.len(), "{label}: memo must cover all entries");
-                let warm = similar_pairs_cached(&entries, &config, &mut cache);
+                let warm = similar_pairs(&entries, &config, &mut cache);
                 assert_outputs_identical(&plain, &warm, &format!("{label} warm"));
             }
         }
@@ -997,12 +912,12 @@ mod tests {
         let config = SimilarityConfig::default();
         let mut cache = SimilarityCache::new();
         let prefix = &entries[..entries.len() / 2];
-        let prefix_plain = similar_pairs(prefix, &config);
-        let prefix_cached = similar_pairs_cached(prefix, &config, &mut cache);
+        let prefix_plain = reference_pairs(prefix, &config);
+        let prefix_cached = similar_pairs(prefix, &config, &mut cache);
         assert_outputs_identical(&prefix_plain, &prefix_cached, "prefix");
         assert_eq!(cache.len(), prefix.len());
-        let full_plain = similar_pairs(&entries, &config);
-        let full_cached = similar_pairs_cached(&entries, &config, &mut cache);
+        let full_plain = reference_pairs(&entries, &config);
+        let full_cached = similar_pairs(&entries, &config, &mut cache);
         assert_outputs_identical(&full_plain, &full_cached, "grown");
         assert_eq!(cache.len(), entries.len());
     }
@@ -1014,10 +929,10 @@ mod tests {
             data.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
         let config = SimilarityConfig::default();
         let mut cache = SimilarityCache::new();
-        let _ = similar_pairs_cached(&entries, &config, &mut cache);
+        let _ = similar_pairs(&entries, &config, &mut cache);
         // Independent re-embedding: two entries share a vid exactly when
         // their embeddings are bitwise equal.
-        let (vectors, owners) = embed_entries(&entries, &config);
+        let (vectors, owners) = reference_embed(&entries, &config);
         assert!(cache.reps.len() <= vectors.len());
         for (a, &ia) in owners.iter().enumerate() {
             for (b, &ib) in owners.iter().enumerate().skip(a + 1) {
@@ -1039,7 +954,7 @@ mod tests {
             data.iter().map(|(i, c)| (i.clone(), c.as_str())).collect();
         let config = SimilarityConfig::default();
         let mut cache = SimilarityCache::new();
-        let _ = similar_pairs_cached(&entries, &config, &mut cache);
+        let _ = similar_pairs(&entries, &config, &mut cache);
         let reps_before = cache.reps.len();
         // A flood republishes every artifact byte-identically under
         // fresh names: the grown corpus must reproduce the plain
@@ -1051,8 +966,8 @@ mod tests {
             let id: PackageId = format!("pypi/republished-{i}@1.0.0").parse().unwrap();
             grown.push((id, code));
         }
-        let plain = similar_pairs(&grown, &config);
-        let cached = similar_pairs_cached(&grown, &config, &mut cache);
+        let plain = reference_pairs(&grown, &config);
+        let cached = similar_pairs(&grown, &config, &mut cache);
         assert_outputs_identical(&plain, &cached, "republished flood");
         assert_eq!(cache.reps.len(), reps_before, "no new distinct content");
         assert_eq!(cache.len(), grown.len(), "every clone memoised by id");
@@ -1063,8 +978,8 @@ mod tests {
         let twin_b: PackageId = "pypi/twin-b@1.0.0".parse().unwrap();
         grown.push((twin_a.clone(), novel[0].1.as_str()));
         grown.push((twin_b.clone(), novel[0].1.as_str()));
-        let plain = similar_pairs(&grown, &config);
-        let cached = similar_pairs_cached(&grown, &config, &mut cache);
+        let plain = reference_pairs(&grown, &config);
+        let cached = similar_pairs(&grown, &config, &mut cache);
         assert_outputs_identical(&plain, &cached, "in-window twins");
         assert_eq!(cache.embedded[&twin_a], cache.embedded[&twin_b]);
     }

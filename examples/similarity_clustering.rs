@@ -10,7 +10,7 @@ use malgraph::cluster::metrics::adjusted_rand_index;
 use malgraph::minilang::gen::{generate, mutate, Behavior, Mutation};
 use malgraph::minilang::printer::print_module;
 use malgraph::prelude::*;
-use malgraph::malgraph_core::similar_pairs;
+use malgraph::malgraph_core::{similar_pairs, SimilarityCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,7 +44,7 @@ fn main() {
         .map(|(i, s)| (i.clone(), s.as_str()))
         .collect();
     let config = SimilarityConfig::default();
-    let out = similar_pairs(&borrowed, &config);
+    let out = similar_pairs(&borrowed, &config, &mut SimilarityCache::new());
     println!(
         "pipeline: chose k = {} after trying {:?}",
         out.chosen_k,

@@ -6,7 +6,9 @@
 //! from answering a different question.
 
 use malgraph::cluster::Kernel;
-use malgraph::malgraph_core::similarity::{similar_pairs, SimilarityConfig, SimilarityOutput};
+use malgraph::malgraph_core::similarity::{
+    similar_pairs, SimilarityCache, SimilarityConfig, SimilarityOutput,
+};
 use malgraph::oss_types::PackageId;
 use minilang::gen::{generate, mutate, Behavior, Mutation};
 use minilang::printer::print_module;
@@ -64,7 +66,11 @@ fn kernels_and_thread_counts_produce_identical_similarity_output() {
             threads,
             ..SimilarityConfig::default()
         };
-        signature(&similar_pairs(&entries, &config))
+        signature(&similar_pairs(
+            &entries,
+            &config,
+            &mut SimilarityCache::new(),
+        ))
     };
     let reference = run(Kernel::DenseScalar, 1);
     assert!(
@@ -99,7 +105,11 @@ fn paper_dimensionality_is_also_bitwise_stable() {
             threads,
             ..SimilarityConfig::paper()
         };
-        signature(&similar_pairs(&entries, &config))
+        signature(&similar_pairs(
+            &entries,
+            &config,
+            &mut SimilarityCache::new(),
+        ))
     };
     let reference = run(Kernel::DenseScalar, 1);
     for threads in [1usize, 7] {
