@@ -20,13 +20,16 @@ fi
 echo "== cargo test -q"
 cargo test -q
 
-# The bare `cargo test` above covers only the root facade crate. The
-# construction core's unit suites — similarity (pipeline ≡ serial
-# reference), build, ingest (windowed ≡ one-shot) and checkpoint
-# (restore, rejection of spliced snapshots, recovery ladder) — gate
-# here, in release so the pipeline-heavy cases stay quick.
-echo "== cargo test -q --release -p malgraph-core"
-cargo test -q --release -p malgraph-core
+# The bare `cargo test` above covers only the root facade crate. Every
+# member crate's unit, property and integration suites gate here — the
+# construction core (similarity ≡ serial reference, windowed ingest ≡
+# one-shot, checkpoint restore and recovery), minilang, graphstore,
+# detector, crawler, registry-sim, oss-types, cluster, jsonio and the
+# malgraph-bench equivalence suites — in release so the pipeline-heavy
+# cases stay quick. The debug-mode steps below repeat the key gates with
+# overflow checks on.
+echo "== cargo test -q --release --workspace"
+cargo test -q --release --workspace
 
 # The fault-tolerance gate, run explicitly so a filtered or skipped
 # harness can never silently drop it: the resilient collector must
@@ -57,7 +60,6 @@ cargo test -q --test obs_export
 #    reference, i8 windows certified lossless;
 #  * kernel_equivalence — the full similarity pipeline produces
 #    identical output under every Kernel at 1 and 7 threads;
-#  * benches must at least compile (they are not run in CI);
 #  * kernel_bench --quick — the three kernels agree on a real workload
 #    (the binary asserts identical assignments and pair sets before it
 #    reports a number).
@@ -67,8 +69,6 @@ echo "== cargo test -q -p cluster --test properties"
 cargo test -q -p cluster --test properties
 echo "== cargo test -q --test kernel_equivalence"
 cargo test -q --test kernel_equivalence
-echo "== cargo bench --no-run -p malgraph-bench"
-cargo bench --no-run -p malgraph-bench
 echo "== kernel_bench --quick"
 cargo run --release -q -p malgraph-bench --bin kernel_bench -- --quick
 
@@ -119,9 +119,10 @@ cargo run --release -q -p malgraph-bench --bin recovery_bench -- --quick
 echo "== cargo test -q -p malgraph-bench --test profile_equivalence"
 cargo test -q -p malgraph-bench --test profile_equivalence
 
-# The perf-regression gate (PR 9): the quick benches above rewrote
-# BENCH_PR{6,7,8}_quick.json on this machine; diff each against its
-# checked-in baseline with `malgraph perf diff` and fail on regression.
+# The perf-regression gate (PR 9): the quick benches above wrote
+# BENCH_PR{6,7,8,10}_quick.json on this machine (untracked; the committed
+# copies live in baselines/); diff each against its baseline with
+# `malgraph perf diff` and fail on regression.
 # Thresholds are deliberately generous (+50% relative AND +250 ms
 # absolute, both must be exceeded) — this gate catches real regressions,
 # not machine-to-machine variance; the sentinel's 10% sensitivity is
@@ -130,6 +131,23 @@ cargo test -q -p malgraph-bench --test profile_equivalence
 #   MALGRAPH_PERF_ACCEPT=1 ./ci.sh
 echo "== perf_gate (malgraph perf diff vs baselines/)"
 cargo build --release -q --bin malgraph
+
+# Self-test: the gate, exactly as configured below, must fire on a 4x
+# regression. Diff the committed PR6 baseline against a copy with every
+# `*_ms` value scaled by 0.25 (both sides are committed data, so the
+# check does not depend on this machine's speed); anything but exit 1
+# means the gate has no teeth.
+doctored=target/perf_gate_selftest.json
+perl -pe 's/("\w+_ms":\s*)([-+0-9.eE]+)/$1 . $2 * 0.25/ge' \
+    baselines/BENCH_PR6_quick.json > "$doctored"
+status=0
+./target/release/malgraph perf diff "$doctored" baselines/BENCH_PR6_quick.json \
+    --threshold 0.50 --floor-us 250000 > /dev/null || status=$?
+if [[ "$status" -ne 1 ]]; then
+    echo "perf_gate self-test: a 4x doctored baseline exited $status, expected 1"
+    exit 1
+fi
+echo "perf_gate self-test: a 4x doctored baseline is caught"
 for bench in BENCH_PR6_quick BENCH_PR7_quick BENCH_PR8_quick BENCH_PR10_quick; do
     if [[ "${MALGRAPH_PERF_ACCEPT:-}" == "1" ]]; then
         cp "$bench.json" "baselines/$bench.json"

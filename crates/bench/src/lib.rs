@@ -2,8 +2,11 @@
 //!
 //! * [`harness`] — regenerates every table and figure of the paper's
 //!   evaluation from a calibrated simulated world (`repro` binary);
-//! * `benches/` — Criterion performance benches for the pipeline stages
-//!   and the design-choice ablations listed in `DESIGN.md`.
+//! * `src/bin/*_bench.rs` — quick benches whose `--quick` snapshots
+//!   `ci.sh`'s perf gate diffs against `baselines/`; each asserts its
+//!   fast path output-identical to the reference before timing it.
+//!
+//! End-to-end performance is measured by `e2ebench/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,10 +11,11 @@
 //!   k-means++-seeds only the new ones, which is what makes the grow-k
 //!   schedule cheap (each step refines instead of restarting);
 //! * [`auto_kmeans`] — the paper's grow-k-until-stable schedule;
-//! * [`serial`] — the original single-threaded implementation, kept as
-//!   the benchmark baseline and differential-test oracle;
 //! * [`metrics`] — silhouette score, adjusted Rand index and inertia, used
-//!   by the validation tests and the ablation benchmarks.
+//!   by the validation tests and the analysis sections.
+//!
+//! The test suite keeps the original single-threaded implementation
+//! (`serial.rs`, test-only) as the differential oracle for the engine.
 //!
 //! Points are plain `&[f32]` slices so the crate has no dependency on the
 //! embedding layer.
@@ -51,7 +52,8 @@
 mod engine;
 pub mod matrix;
 pub mod metrics;
-pub mod serial;
+#[cfg(test)]
+mod serial;
 
 pub use matrix::{PointMatrix, Points, QuantMatrix, SparsePoints};
 

@@ -1,7 +1,6 @@
-//! The original single-threaded K-Means implementation, kept verbatim as
-//! (a) the baseline of the engine-ablation benchmarks ("seed serial" in
-//! `BENCH_PR1.json` and DESIGN.md §6) and (b) a differential-testing
-//! oracle for the parallel engine in [`crate`]'s test suite.
+//! The original single-threaded K-Means implementation, compiled only
+//! for tests: the independent differential oracle for the parallel
+//! engine, k-means++ initialisation included.
 //!
 //! It computes distances the naive way (`Σ (xᵢ−yᵢ)²`, no norm caching,
 //! no pruning) and runs assignment and update on one thread.

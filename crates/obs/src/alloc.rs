@@ -17,7 +17,7 @@
 //!
 //! The allocator is **not** installed by this crate — a library must not
 //! claim `#[global_allocator]`. Binaries that want allocation profiles
-//! (the `malgraph` CLI, `obs_overhead`, `repro`, test binaries) install
+//! (the `malgraph` CLI, `repro`, `e2ebench`, test binaries) install
 //! it themselves:
 //!
 //! ```ignore

@@ -96,7 +96,7 @@ impl FaultConfig {
 
     /// A purely transient fault plan: every injected failure is
     /// retryable. This is the `--fault-rate` CLI model and the shape the
-    /// recovery acceptance criterion is stated over.
+    /// recovery acceptance bar is stated over.
     pub fn transient(rate: f64) -> FaultConfig {
         FaultConfig {
             transient_rate: rate,
