@@ -151,9 +151,7 @@ fn main() {
         md.push_str(&full);
         md.push_str("```\n");
         md.push_str(&timing_appendix(&section_ms, threads, repro.mode));
-        md.push_str(&bench_appendix(&path));
         md.push_str(&profile_appendix(&obs::snapshot()));
-        md.push_str(&sentinel_appendix(&path));
         md.push_str(&format!("\nLast run {timings_line}.\n"));
         let mut file = std::fs::File::create(&path)
             .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
@@ -184,113 +182,6 @@ fn timing_appendix(section_ms: &[(String, f64)], threads: usize, mode: AnalyzeMo
     let total: f64 = section_ms.iter().map(|(_, ms)| ms).sum();
     md.push_str(&format!("{:<12} {total:>10.1}\n", "sum"));
     md.push_str("```\n");
-    md
-}
-
-/// Perf-trajectory appendix: the engine-benchmark snapshots
-/// (`BENCH_PR6.json`, `BENCH_PR7.json`) rendered as rows next to the
-/// paper tables, so one regenerated EXPERIMENTS.md carries both "does it
-/// reproduce the paper" and "how fast does it do so". Snapshots are
-/// looked up beside the output file; absent ones are skipped, so the
-/// report never fails just because a bench binary has not been run.
-fn bench_appendix(out_path: &str) -> String {
-    let dir = std::path::Path::new(out_path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| std::path::PathBuf::from("."), std::path::Path::to_path_buf);
-    let load = |name: &str| -> Option<jsonio::Value> {
-        let text = std::fs::read_to_string(dir.join(name)).ok()?;
-        match jsonio::Value::parse(&text) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                eprintln!("warning: skipping unparseable {name}: {e:?}");
-                None
-            }
-        }
-    };
-    let f = |row: &jsonio::Value, key: &str| row.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let u = |row: &jsonio::Value, key: &str| row.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-
-    let mut md = String::new();
-    let mut body = String::new();
-
-    if let Some(pr6) = load("BENCH_PR6.json") {
-        body.push_str(&format!(
-            "== BENCH_PR6 — vector kernels, assignment + refinement, identical output \
-             (dim {}, nnz ~{}, k {}, threshold {:.2})\n\
-             {:>6}  {:>9}  {:>9}  {:>9}  {:>7}  {:>7}  {:>9}  {:>8}\n",
-            u(&pr6, "dim"),
-            u(&pr6, "nnz"),
-            u(&pr6, "k"),
-            f(&pr6, "threshold"),
-            "n", "dense ms", "tiled ms", "quant ms", "tiled x", "quant x", "screened", "rescored"
-        ));
-        for row in pr6.get("results").and_then(|v| v.as_array()).unwrap_or(&[]) {
-            body.push_str(&format!(
-                "{:>6}  {:>9.0}  {:>9.0}  {:>9.0}  {:>7.2}  {:>7.2}  {:>9}  {:>8}\n",
-                u(row, "n"),
-                f(row, "total_dense_scalar_ms"),
-                f(row, "total_tiled_ms"),
-                f(row, "total_tiled_quant_ms"),
-                f(row, "speedup_tiled"),
-                f(row, "speedup_tiled_quant"),
-                u(row, "pairs_screened"),
-                u(row, "pairs_rescored")
-            ));
-        }
-        body.push('\n');
-    }
-
-    if let Some(pr7) = load("BENCH_PR7.json") {
-        body.push_str(&format!(
-            "== BENCH_PR7 — analysis harness, indexed vs uncached, identical reports \
-             (seed {}, scale {}, {} host thread(s))\n\
-             {:<12}  {:>11}  {:>10}  {:>7}\n",
-            u(&pr7, "seed"),
-            f(&pr7, "scale"),
-            u(&pr7, "host_threads"),
-            "section", "uncached ms", "indexed ms", "speedup"
-        ));
-        for row in pr7.get("results").and_then(|v| v.as_array()).unwrap_or(&[]) {
-            body.push_str(&format!(
-                "{:<12}  {:>11.0}  {:>10.0}  {:>7.2}\n",
-                row.get("id").and_then(|v| v.as_str()).unwrap_or("?"),
-                f(row, "uncached_ms"),
-                f(row, "indexed_ms"),
-                f(row, "speedup")
-            ));
-        }
-        body.push_str(&format!(
-            "{:<12}  {:>11.0}  {:>10.0}  {:>7.2}   ({}-thread total {:.0} ms)\n",
-            "total",
-            f(&pr7, "uncached_total_ms"),
-            f(&pr7, "indexed_total_ms"),
-            f(&pr7, "speedup_indexed"),
-            u(&pr7, "threads"),
-            f(&pr7, "indexed_parallel_ms")
-        ));
-        if f(&pr7, "seed_analyze_ms") > 0.0 {
-            body.push_str(&format!(
-                "vs pre-index analyze stage ({:.1} s recorded at the seed): {:.2}x\n",
-                f(&pr7, "seed_analyze_ms") / 1e3,
-                f(&pr7, "speedup_vs_seed")
-            ));
-        }
-        body.push('\n');
-    }
-
-    if !body.is_empty() {
-        md.push_str(
-            "\n## Perf trajectory — engine benchmark snapshots\n\n\
-             Rebuilt from `BENCH_PR6.json` / `BENCH_PR7.json` beside this file\n\
-             (regenerate them with the `kernel_bench` and `analyze_bench` release\n\
-             binaries). The PR-6 columns are end-to-end assignment + cosine\n\
-             refinement; the PR-7 columns are full analysis sections; every mode\n\
-             is asserted bitwise-identical before its time is reported.\n\n```text\n",
-        );
-        md.push_str(body.trim_end_matches('\n'));
-        md.push_str("\n```\n");
-    }
     md
 }
 
@@ -353,67 +244,6 @@ fn fmt_bytes(b: u64) -> String {
         1048576..=1073741823 => format!("{:.1}MiB", b as f64 / 1048576.0),
         _ => format!("{:.2}GiB", b as f64 / 1073741824.0),
     }
-}
-
-/// Perf-sentinel appendix: demonstrates the regression gate on live data
-/// by diffing a quick-bench snapshot against itself (clean pass) and then
-/// against a copy with one timing inflated 25% (caught, non-zero exit in
-/// the CLI). This is exactly what `ci.sh`'s perf_gate step runs via
-/// `malgraph perf diff baselines/<bench>.json <bench>.json`. The
-/// snapshot is the committed one under `baselines/` beside the output
-/// file, so the appendix renders on a clean checkout.
-fn sentinel_appendix(out_path: &str) -> String {
-    let dir = std::path::Path::new(out_path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| std::path::PathBuf::from("."), std::path::Path::to_path_buf)
-        .join("baselines");
-    let Some((name, text)) = ["BENCH_PR8_quick.json", "BENCH_PR7_quick.json", "BENCH_PR6_quick.json"]
-        .iter()
-        .find_map(|n| std::fs::read_to_string(dir.join(n)).ok().map(|t| (*n, t)))
-    else {
-        return String::new();
-    };
-    let Ok(base) = obs::baseline::PerfProfile::from_json_str(name, &text) else {
-        return String::new();
-    };
-    let thresholds = obs::baseline::Thresholds::default();
-
-    // A clean self-diff, then the same diff with the largest timing
-    // inflated 25% — past the 10% relative and 500 ms absolute gates.
-    let clean = obs::baseline::diff(&base, &base, &thresholds);
-    let mut slow = base.clone();
-    slow.label = format!("{name} (+25% injected)");
-    if let Some((_, m)) = slow
-        .entries
-        .iter_mut()
-        .filter(|(_, m)| matches!(m.kind, obs::baseline::MetricKind::Time { .. }))
-        .max_by(|a, b| {
-            let us = |e: &(String, obs::baseline::Metric)| match e.1.kind {
-                obs::baseline::MetricKind::Time { us_per_unit } => e.1.value * us_per_unit,
-                _ => 0.0,
-            };
-            us(a).total_cmp(&us(b))
-        })
-    {
-        m.value *= 1.25;
-    }
-    let caught = obs::baseline::diff(&base, &slow, &thresholds);
-
-    let mut md = String::from(
-        "\n## Perf sentinel — the regression gate, demonstrated\n\n\
-         `malgraph perf diff` compares two snapshots (obs metrics or `BENCH_*.json`)\n\
-         and fails when a metric worsens by more than the relative threshold AND the\n\
-         absolute noise floor. Below: the checked-in quick-bench snapshot diffed\n\
-         against itself (clean), then against a copy with its largest timing\n\
-         inflated 25% — the injected regression the gate exists to catch. The same\n\
-         check runs in `ci.sh` (perf_gate) against `baselines/`.\n\n```text\n",
-    );
-    md.push_str(clean.render(false).trim_end_matches('\n'));
-    md.push_str("\n\n");
-    md.push_str(caught.render(false).trim_end_matches('\n'));
-    md.push_str("\n```\n");
-    md
 }
 
 fn die(msg: &str) -> ! {

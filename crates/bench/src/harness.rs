@@ -23,8 +23,8 @@ pub enum AnalyzeMode {
     #[default]
     Indexed,
     /// Recompute every query from scratch — the serial reference the
-    /// equivalence suite and `analyze_bench` compare the indexed path
-    /// against, byte for byte.
+    /// equivalence suites compare the indexed path against, byte for
+    /// byte.
     Uncached,
 }
 
@@ -113,10 +113,10 @@ impl Repro {
     }
 
     /// Assembles a context from parts prepared elsewhere — the ingest
-    /// equivalence suite and `ingest_bench` wire an incrementally grown
-    /// graph (`MalGraph::apply_delta` over corpus deltas) into the same
-    /// analysis sections the one-shot context runs, so the two paths can
-    /// be compared byte for byte.
+    /// equivalence suite wires an incrementally grown graph
+    /// (`MalGraph::apply_delta` over corpus deltas) into the same analysis
+    /// sections the one-shot context runs, so the two paths can be
+    /// compared byte for byte.
     pub fn from_parts(
         world: World,
         dataset: CollectedDataset,

@@ -41,9 +41,7 @@
 //!
 //! `perf diff` loads two perf artifacts — obs snapshots (`malgraph-obs/1`
 //! or `/2`) or `BENCH_*.json` reports — and exits 1 when any span,
-//! counter, or timing grew past the noise thresholds; `ci.sh`'s
-//! `perf_gate` runs it against the baselines checked in under
-//! `baselines/`.
+//! counter, or timing grew past the noise thresholds.
 //!
 //! `collect` + `analyze` round-trip through the export format, the flow a
 //! downstream lab would use with a published corpus. With `--fault-rate`
